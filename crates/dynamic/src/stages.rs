@@ -298,10 +298,14 @@ impl DynamicCopyStages {
         &self.pass_tallies
     }
 
-    /// A fresh accumulator for the current pass (one per shard). Pass 1
-    /// and pass 3 clone the configured sketch banks — sketches are linear,
-    /// so per-shard clones merged in shard order equal one bank that saw
-    /// the whole stream.
+    /// A fresh accumulator for the current pass. Pass 1 and pass 3 clone
+    /// the configured sketch bank. The engine's fused driver takes one
+    /// accumulator per copy on these sketch passes and folds the whole
+    /// stream into it; the per-copy sharded runner
+    /// ([`run_dynamic_copy_sharded`](crate::run_dynamic_copy_sharded))
+    /// takes one per shard and [`finish_pass`](Self::finish_pass) merges
+    /// them in shard order — sketches are linear, so the merged bank equals
+    /// one bank that saw the whole stream.
     pub fn begin_pass(&self) -> DynamicStageAcc {
         debug_assert!(!self.finished(), "begin_pass after the fourth pass");
         let acc = match self.pass {

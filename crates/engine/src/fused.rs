@@ -13,6 +13,11 @@
 //! cache when the second copy folds it), collapsing `passes × copies`
 //! sweeps into `passes`.
 //!
+//! Passes whose copies share no probe structures (the turnstile sketch
+//! passes) have nothing to fuse, and their per-copy state is large, so
+//! they run copy-parallel instead: one pool task per copy folds the whole
+//! slice and finishes the pass, with no per-shard clone or merge.
+//!
 //! Results are **bit-identical** to per-copy scheduling: the driver calls
 //! the same stage methods with the same chunk positions, and every pass's
 //! per-shard accumulators merge associatively in shard order — so fusing,
@@ -21,6 +26,7 @@
 //! `crates/engine/tests/fused_parity.rs`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use degentri_core::faults;
@@ -49,7 +55,12 @@ pub(crate) struct PassTrace {
     pub plan_nanos: u64,
     /// Nanoseconds of the fused sweep (fold + shard merge hand-off).
     pub sweep_nanos: u64,
-    /// Per-shard items and busy time; one synthetic shard when unsharded.
+    /// Items in the swept snapshot slice (every copy folded all of them).
+    pub items: u64,
+    /// Per-task items and busy time, in task order: one entry per sweep
+    /// shard on a shared pass (one synthetic whole-stream shard when
+    /// unsharded), one entry per copy — each covering the whole snapshot —
+    /// on a copy-parallel pass.
     pub shards: Vec<ShardReport>,
 }
 
@@ -81,17 +92,18 @@ pub(crate) trait StagedCopy: Send + Sync + Sized {
     fn plan_pass(copies: &[Self]) -> Self::Plan;
 
     /// Whether the cohort's copies share probe structures through the
-    /// plan **on this pass**. When `false`, the unsharded sweep drives the
-    /// copies one at a time — begin, fold the whole slice, finish — so
-    /// each copy's pass state is freed before the next copy's is built:
-    /// the peak working set stays one copy wide and the allocator hands
-    /// the next copy the pages the previous one just released. When
-    /// `true`, the fused sweep consults the pass's union plan once per
-    /// item and fans out to the hitting copies. Bit-identical either way —
-    /// independent copies never read each other's state and the folds are
-    /// order-insensitive. Pass-dependent because the turnstile copies mix
-    /// both shapes: their sorted-table passes share a union key table
-    /// while their sketch passes fold private banks.
+    /// plan **on this pass**. When `false`, the driver runs the pass
+    /// copy-parallel at every worker count: one pool task per copy begins
+    /// the pass, folds the whole slice into a single accumulator and
+    /// finishes it, so no pass state is cloned per shard or merged, and at
+    /// most one accumulator per worker is live. When `true`, the fused
+    /// sweep (sharded when `workers > 1`) consults the pass's union plan
+    /// once per item and fans out to the hitting copies. Bit-identical
+    /// either way — independent copies never read each other's state, and
+    /// a copy-parallel copy folds the stream in serial order. Pass-dependent
+    /// because the turnstile copies mix both shapes: their sorted-table
+    /// passes share a union key table while their sketch passes fold
+    /// private banks.
     fn shares_probes(pass: usize) -> bool {
         let _ = pass;
         true
@@ -104,8 +116,9 @@ pub(crate) trait StagedCopy: Send + Sync + Sized {
     /// stay cache-hot across copies); copy types whose cohort fold is an
     /// independent per-copy loop override this to the whole slice, so each
     /// copy's sketch working set stays resident instead of every chunk
-    /// boundary evicting it with the other copies' state (this matters in
-    /// the sharded arm, where copies still fold side by side). Either
+    /// boundary evicting it with the other copies' state. The copy-parallel
+    /// arm folds each copy alone with the same granularity, so a copy's
+    /// fold issues the same chunks (and fault probes) on every arm. Either
     /// granularity is bit-identical — the folds are order-insensitive and
     /// each copy's accumulator sees exactly the same updates.
     fn cohort_batch(batch: usize, slice_len: usize) -> usize {
@@ -132,7 +145,7 @@ pub(crate) trait StagedCopy: Send + Sync + Sized {
     /// the fused fold mirrors bit for bit. The containment fallback uses
     /// it to re-execute a panicked fused sweep copy by copy (sound and
     /// repeatable because folds take `&self` and are deterministic), and
-    /// the no-shared-probes serial arm uses it directly.
+    /// the copy-parallel arm of no-shared-probes passes uses it directly.
     fn fold_one(&self, acc: &mut Self::Acc, pos: u64, chunk: &[Self::Item]);
 }
 
@@ -403,8 +416,9 @@ pub(crate) struct CohortOutcome {
     /// (feeds the scheduler's retry/degradation layer).
     pub copy_failures: Vec<(usize, usize, EngineError)>,
     /// Measured thread-busy nanoseconds of the cohort's sweeps: the sum of
-    /// per-shard fold times in the sharded arms, sweep wall time in the
-    /// serial arms — the fused side of the engine's per-tier attribution.
+    /// per-task times in the sharded and copy-parallel arms, sweep wall
+    /// time in the serial shared arm — the fused side of the engine's
+    /// per-tier attribution.
     pub busy_nanos: u64,
 }
 
@@ -515,30 +529,38 @@ fn fail_all<C>(
     }
 }
 
-/// Executes one copy's pass fold under a panic boundary: begin, fold the
-/// whole slice chunk by chunk via [`StagedCopy::fold_one`], return the
-/// accumulator (or the panic payload). `AssertUnwindSafe` is sound because
-/// folds take `&self` — an unwinding fold cannot tear the copy, only the
-/// local accumulator, which is discarded with the `Err`.
+/// Executes one copy's pass fold: begin, then fold the whole slice chunk
+/// by chunk via [`StagedCopy::fold_one`], stopping early on cancellation.
+fn fold_copy<C: StagedCopy>(
+    copy: &C,
+    batch: usize,
+    items: &[C::Item],
+    cancel: &CancelToken,
+) -> C::Acc {
+    let mut acc = copy.begin_pass();
+    let chunk_len = C::cohort_batch(batch, items.len()).max(1);
+    let mut pos = 0u64;
+    for chunk in items.chunks(chunk_len) {
+        if cancel.is_cancelled() {
+            break;
+        }
+        copy.fold_one(&mut acc, pos, chunk);
+        pos += chunk.len() as u64;
+    }
+    acc
+}
+
+/// [`fold_copy`] under a panic boundary, returning the accumulator or the
+/// panic payload. `AssertUnwindSafe` is sound because folds take `&self` —
+/// an unwinding fold cannot tear the copy, only the local accumulator,
+/// which is discarded with the `Err`.
 fn fold_copy_caught<C: StagedCopy>(
     copy: &C,
     batch: usize,
     items: &[C::Item],
     cancel: &CancelToken,
 ) -> std::thread::Result<C::Acc> {
-    catch_unwind(AssertUnwindSafe(|| {
-        let mut acc = copy.begin_pass();
-        let chunk_len = C::cohort_batch(batch, items.len()).max(1);
-        let mut pos = 0u64;
-        for chunk in items.chunks(chunk_len) {
-            if cancel.is_cancelled() {
-                break;
-            }
-            copy.fold_one(&mut acc, pos, chunk);
-            pos += chunk.len() as u64;
-        }
-        acc
-    }))
+    catch_unwind(AssertUnwindSafe(|| fold_copy(copy, batch, items, cancel)))
 }
 
 /// Finishes one copy's pass under a panic boundary. `AssertUnwindSafe` is
@@ -554,11 +576,12 @@ fn finish_copy_caught<C: StagedCopy>(
 
 /// Executes one cohort of staged copies over a shared snapshot slice:
 /// while any copy has passes left, run **one sweep** that feeds every
-/// unfinished copy's fold chunk by chunk — sharded across `workers` scoped
-/// threads (over `shards` contiguous shards) when `workers > 1`. Cohorts
-/// without shared probes ([`StagedCopy::SHARES_PROBES`] = `false`) drive
-/// each sweep copy-at-a-time instead, keeping one copy's pass state live
-/// at a time.
+/// unfinished copy's fold chunk by chunk — sharded across `workers` pool
+/// workers (over `shards` contiguous shards) when `workers > 1`. Passes
+/// without shared probes ([`StagedCopy::shares_probes`] = `false`) run
+/// copy-parallel instead, at every worker count: one pool task per copy
+/// folds the whole slice and finishes the pass, so each copy's pass state
+/// is built once, never cloned per shard, and freed inside its task.
 ///
 /// ## Failure containment
 ///
@@ -577,6 +600,8 @@ fn finish_copy_caught<C: StagedCopy>(
 ///   outright, so a partially-folded pass state can never reach
 ///   `finish_pass` or the job's aggregate. Deadlines and cancellation
 ///   remain group-level: lockstep copies are all equally late.
+/// * On a copy-parallel pass every copy is its own pool task, so a panic
+///   names the failing copy directly and nothing is re-folded.
 /// * When a **shared** fused sweep panics, the driver cannot tell which
 ///   copy unwound, so it re-executes the pass copy by copy through
 ///   [`StagedCopy::fold_one`] under per-copy panic boundaries. This is
@@ -684,45 +709,43 @@ pub(crate) fn drive_cohort<C: StagedCopy, R: Recorder, P: SweepPool>(
         let started = Instant::now();
         let mut shard_reports: Vec<ShardReport> = Vec::new();
         let mut pass_failures: Vec<(usize, EngineError)> = Vec::new();
-        // `None` when the arm finishes copies inline (serial, no shared
-        // probes); `Some(per-copy fold results)` otherwise, finished below
-        // once the sweep clock stops.
+        // `None` when the arm finishes copies itself (copy-parallel, no
+        // shared probes); `Some(per-copy fold results)` otherwise, finished
+        // below once the sweep clock stops.
         let mut copy_busy_nanos = 0u64;
-        let per_copy: Option<Vec<std::thread::Result<Vec<C::Acc>>>> = if !C::shares_probes(pass)
-            && workers <= 1
-        {
-            // Independent copies (no shared plan): drive them one at a
-            // time — begin, fold the whole slice, finish — so only one
-            // copy's pass state is live at once. Each copy's pass time
-            // includes its finish, matching the per-copy driver's clock.
-            for (k, copy) in copies.iter_mut().enumerate() {
-                if member_doomed(&pass_failures, meta, k) {
-                    continue;
-                }
-                if cancel.is_cancelled() {
-                    break;
-                }
+        let per_copy: Option<Vec<std::thread::Result<Vec<C::Acc>>>> = if !C::shares_probes(pass) {
+            // Copy-parallel: one pool task per copy (see `shares_probes`).
+            // Each task takes its copy through an uncontended mutex; a
+            // panic poisons only the mutex of a copy that is evicted below,
+            // and the pool's per-task boundary names that copy directly.
+            let tasks: Vec<Mutex<&mut C>> = copies.iter_mut().map(Mutex::new).collect();
+            // A copy's pass time covers fold + finish, matching the
+            // per-copy driver's clock; a cancelled fold is not finished
+            // (the whole cohort fails below).
+            let results = pool.sweep_shards(tasks.len(), |k| -> Result<()> {
+                let mut copy = tasks[k].lock().unwrap_or_else(PoisonError::into_inner);
                 let copy_started = Instant::now();
-                match fold_copy_caught(copy, batch, items, cancel) {
-                    Err(payload) => pass_failures.push((k, EngineError::panicked(k, payload))),
-                    Ok(acc) => {
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        let copy_pass = copy.pass_index();
-                        match finish_copy_caught(copy, vec![acc]) {
-                            Ok(Ok(())) => copy.record_pass_nanos(
-                                copy_pass,
-                                copy_started.elapsed().as_nanos() as u64,
-                            ),
-                            Ok(Err(e)) => pass_failures.push((k, e)),
-                            Err(payload) => {
-                                pass_failures.push((k, EngineError::panicked(k, payload)))
-                            }
-                        }
-                    }
+                let acc = fold_copy(&**copy, batch, items, cancel);
+                if cancel.is_cancelled() {
+                    return Ok(());
                 }
-                copy_busy_nanos += copy_started.elapsed().as_nanos() as u64;
+                copy.finish_pass(vec![acc])?;
+                copy.record_pass_nanos(pass, copy_started.elapsed().as_nanos() as u64);
+                Ok(())
+            });
+            for (k, (result, task_nanos)) in results.into_iter().enumerate() {
+                copy_busy_nanos += task_nanos;
+                if R::ENABLED {
+                    shard_reports.push(ShardReport {
+                        items: items.len() as u64,
+                        nanos: task_nanos,
+                    });
+                }
+                match result {
+                    Ok(Ok(())) => {}
+                    Ok(Err(e)) => pass_failures.push((k, e)),
+                    Err(payload) => pass_failures.push((k, EngineError::panicked(k, payload))),
+                }
             }
             None
         } else {
@@ -874,13 +897,14 @@ pub(crate) fn drive_cohort<C: StagedCopy, R: Recorder, P: SweepPool>(
                 pass,
                 plan_nanos,
                 sweep_nanos: nanos,
+                items: items.len() as u64,
                 shards: std::mem::take(&mut shard_reports),
             });
         }
         outcome.sweeps += 1;
-        // Sharded and copy-at-a-time arms measured their busy time
-        // directly; the single-threaded shared arms (and the per-copy
-        // fallback, which re-folds inline) are wall = busy.
+        // The sharded and copy-parallel arms measured their busy time per
+        // pool task; the single-threaded shared arm (and the per-copy
+        // fallback, which re-folds inline) is wall = busy.
         outcome.busy_nanos += if copy_busy_nanos > 0 {
             copy_busy_nanos
         } else {
@@ -1543,6 +1567,7 @@ pub(crate) fn drive_edge_cohort<R: Recorder, P: SweepPool>(
                     pass: stage,
                     plan_nanos,
                     sweep_nanos: nanos,
+                    items: edges.len() as u64,
                     shards: std::mem::take(&mut shard_reports),
                 });
             }

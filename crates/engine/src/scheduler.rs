@@ -1981,7 +1981,7 @@ fn pass_reports(trace: &[PassTrace], names: &[&str], tallies: &[PassTally]) -> V
             name: names.get(t.pass).copied().unwrap_or("pass").to_string(),
             plan_nanos: t.plan_nanos,
             sweep_nanos: t.sweep_nanos,
-            items: t.shards.iter().map(|s| s.items).sum(),
+            items: t.items,
             tally: tallies.get(t.pass).copied().unwrap_or_default(),
             shards: t.shards.clone(),
         })

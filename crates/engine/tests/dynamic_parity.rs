@@ -6,7 +6,10 @@
 //! seeds and the median aggregation is shared.
 
 use degentri_core::RngMode;
-use degentri_dynamic::{DynamicEstimatorConfig, DynamicOutcome, DynamicTriangleEstimator};
+use degentri_dynamic::{
+    aggregate_dynamic_copies, run_dynamic_copy, DynamicEstimatorConfig, DynamicOutcome,
+    DynamicTriangleEstimator,
+};
 use degentri_engine::{Engine, EngineConfig, EngineError, JobSpec};
 use degentri_gen::{barabasi_albert, wheel};
 use degentri_graph::triangles::count_triangles;
@@ -167,6 +170,57 @@ fn engine_copies_match_manual_sharded_copies_at_every_shard_count() {
                 report.jobs[0].estimation().copy_estimates,
                 "shards {shards} workers {workers}"
             );
+        }
+    }
+}
+
+/// The fused turnstile cohort folds each sketch pass copy-parallel (one
+/// pool task per copy) and each union pass as a sharded shared sweep. With
+/// fewer, as many, and more copies than workers, and one or two jobs per
+/// cohort, every copy must equal the standalone single-copy runner bit for
+/// bit, and every job its standalone aggregate.
+#[test]
+fn copy_parallel_sketch_passes_match_standalone_copies() {
+    let (stream, config) = workload();
+    let config = config.with_rng_mode(RngMode::Counter).with_max_samples(48);
+    let seeds = [19u64, 20];
+    for copies in [1usize, 3, 8] {
+        let expected: Vec<Vec<_>> = seeds
+            .iter()
+            .map(|&seed| {
+                let job = config.clone().with_seed(seed).with_copies(copies);
+                (0..copies)
+                    .map(|copy| run_dynamic_copy(&stream, &job, copy).unwrap())
+                    .collect()
+            })
+            .collect();
+        for jobs in [1usize, 2] {
+            for workers in [1usize, 2, 4] {
+                let mut engine = Engine::with_workers(workers);
+                for &seed in &seeds[..jobs] {
+                    engine.submit(JobSpec::dynamic(
+                        format!("seed {seed}"),
+                        config.clone().with_seed(seed).with_copies(copies),
+                    ));
+                }
+                let report = engine.run_dynamic(&stream).unwrap();
+                assert_eq!(report.stats.fused_cohorts, 1);
+                for (job, copy_outcomes) in report.jobs.iter().zip(&expected) {
+                    let what = format!(
+                        "{} copies {copies} jobs {jobs} workers {workers}",
+                        job.label
+                    );
+                    let standalone: Vec<f64> = copy_outcomes.iter().map(|c| c.estimate).collect();
+                    assert_eq!(job.estimation().copy_estimates, standalone, "{what}");
+                    let aggregate = aggregate_dynamic_copies(copy_outcomes);
+                    assert_eq!(
+                        job.estimation().estimate.to_bits(),
+                        aggregate.estimate.to_bits(),
+                        "{what}"
+                    );
+                    assert_eq!(job.estimation().space, aggregate.space, "{what}");
+                }
+            }
         }
     }
 }

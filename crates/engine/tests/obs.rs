@@ -198,6 +198,44 @@ fn dynamic_run_report_and_per_pass_timings() {
     assert!(pass_sum <= run.wall_nanos);
 }
 
+/// The turnstile sketch passes run copy-parallel: their report lists one
+/// task per copy, each folding the whole snapshot, while the union passes
+/// keep their sweep-shard entries covering the snapshot once.
+#[test]
+fn dynamic_copy_parallel_passes_report_one_task_per_copy() {
+    let (stream, config) = dynamic_workload();
+    let copies = 3usize;
+    let m = stream.updates().len() as u64;
+    let mut engine = Engine::new(
+        EngineConfig::builder()
+            .workers(2)
+            .recording(true)
+            .try_build()
+            .unwrap(),
+    );
+    engine.submit(JobSpec::dynamic("obs-dyn", config.with_copies(copies)));
+    let report = engine.run_dynamic(&stream).unwrap();
+    let run = report.run_report.as_ref().unwrap();
+    let cohort = &run.cohorts[0];
+    assert_eq!(cohort.copies, copies);
+    for (p, pass) in cohort.passes.iter().enumerate() {
+        assert_eq!(pass.items, m, "{}", pass.name);
+        if matches!(p, 0 | 2) {
+            // Sketch pass: one whole-snapshot task per copy.
+            assert_eq!(pass.shards.len(), copies, "{}", pass.name);
+            assert!(pass.shards.iter().all(|t| t.items == m), "{}", pass.name);
+        } else {
+            // Union pass: sweep shards that partition the snapshot.
+            assert_eq!(pass.shards.len(), cohort.shards, "{}", pass.name);
+            assert_eq!(pass.shards.iter().map(|s| s.items).sum::<u64>(), m);
+        }
+    }
+    let outcome = report.jobs[0].dynamic().unwrap();
+    assert!(outcome.pass_nanos.iter().all(|&nanos| nanos > 0));
+    assert!(outcome.pass_nanos.iter().sum::<u64>() <= run.wall_nanos);
+    assert!(cohort.total_nanos() <= run.wall_nanos);
+}
+
 #[test]
 fn run_report_json_round_trips_and_text_tree_names_passes() {
     let stream = workload();

@@ -506,6 +506,75 @@ mod faulted {
         );
     }
 
+    /// A panic inside one contained copy's sketch-pass fold evicts exactly
+    /// that copy: the sketch pass runs one pool task per copy, so the panic
+    /// names its copy and nothing is re-folded. The fault report proves
+    /// it — the faulted run probes `BankFold` exactly as often as a clean
+    /// run, minus the victim's later passes — and the seven survivors are
+    /// bit-identical to their clean standalone copies.
+    #[test]
+    fn sketch_pass_panic_evicts_one_copy_without_refolding() {
+        let graph = degentri_gen::barabasi_albert(200, 4, 9).unwrap();
+        let stream = DynamicMemoryStream::with_churn(&graph, 0.5, 31);
+        let (seed, copies, victim) = (97u64, 8usize, 3usize);
+        let config = dyn_config(seed, copies);
+        let run = |plan: FaultPlan| {
+            faults::with_plan(plan, || {
+                let mut engine = engine(2, true);
+                engine.submit(
+                    JobSpec::dynamic("job", config.clone()).quorum(QuorumPolicy::best_effort()),
+                );
+                (engine.run_dynamic(&stream).unwrap(), faults::report())
+            })
+        };
+        let (clean, clean_faults) = run(FaultPlan::default());
+        assert!(clean.jobs[0].degradation().is_none());
+        let clean_probes = clean_faults.probes_at(FaultSite::BankFold);
+        assert_eq!(clean_probes % copies as u64, 0);
+        let per_copy_probes = clean_probes / copies as u64;
+
+        // The victim panics on its first probe: the u1 sketch-pass fold.
+        let plan = FaultPlan::single(
+            FaultSite::BankFold,
+            dynamic_copy_seed(seed, victim),
+            0,
+            FaultKind::Panic,
+        );
+        let (report, observed) = run(plan);
+        let job = &report.jobs[0];
+        assert!(job.is_ok(), "{:?}", job.error());
+        let degradation = job.degradation().expect("degraded");
+        assert_eq!(degradation.copies_used, copies - 1);
+        assert_eq!(degradation.copies_lost, 1);
+        assert_eq!(degradation.copy_errors.len(), 1);
+        assert_eq!(degradation.copy_errors[0].0, victim);
+        assert_eq!(report.stats.copies_evicted, 1);
+        assert_eq!(observed.fired_at(FaultSite::BankFold), 1);
+        // Every copy probed its one sketch-pass chunk once; only the victim
+        // misses its later passes. A per-copy re-fold of the pass would
+        // have added a probe per surviving copy.
+        assert_eq!(
+            observed.probes_at(FaultSite::BankFold),
+            clean_probes - per_copy_probes + 1
+        );
+
+        let mut survivors = clean.jobs[0].estimation().copy_estimates.clone();
+        survivors.remove(victim);
+        assert_eq!(job.estimation().copy_estimates, survivors);
+        let expected = quiesced(|| {
+            let outcomes = (0..copies)
+                .filter(|&copy| copy != victim)
+                .map(|copy| run_dynamic_copy(&stream, &config, copy).unwrap())
+                .collect::<Vec<_>>();
+            aggregate_dynamic_copies(&outcomes)
+        });
+        assert_eq!(
+            job.estimation().estimate.to_bits(),
+            expected.estimate.to_bits()
+        );
+        assert_eq!(job.estimation().copy_estimates, expected.copy_estimates);
+    }
+
     /// The degraded-dynamic guard: a mid-pass `BankFold` fault must not
     /// leave a partially-folded copy in the aggregate. The surviving
     /// estimate equals the core API's aggregation over exactly the copies

@@ -50,12 +50,15 @@ impl PassTally {
     }
 }
 
-/// One shard of one pass: how much stream it folded and for how long.
+/// One task of one pass: how much stream it folded and for how long. On a
+/// shared pass a task is one sweep shard; on a copy-parallel pass (one
+/// whose copies share no probe structures, such as a turnstile sketch
+/// pass) it is one copy folding the whole snapshot and finishing its pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardReport {
-    /// Items in the shard's slice.
+    /// Items in the task's slice (the whole snapshot for a copy task).
     pub items: u64,
-    /// Busy nanoseconds of the shard's fold.
+    /// Busy nanoseconds of the task (a copy task includes its finish).
     pub nanos: u64,
 }
 
@@ -66,13 +69,17 @@ pub struct PassReport {
     pub name: String,
     /// Self time: building the union probe structures (the cohort plan).
     pub plan_nanos: u64,
-    /// Wall time of the shared sweep over the snapshot.
+    /// Wall time of the pass's sweep over the snapshot (on a copy-parallel
+    /// pass, of all its copy tasks, finishes included).
     pub sweep_nanos: u64,
     /// Items in the snapshot (each copy of the cohort saw all of them).
     pub items: u64,
     /// Fold-loop tallies summed over the cohort's copies.
     pub tally: PassTally,
-    /// Per-shard breakdown (empty when the pass ran unsharded).
+    /// Per-task breakdown in task order: one entry per sweep shard (a
+    /// single whole-snapshot entry when the pass ran unsharded), or one
+    /// entry per copy, each with `items` equal to the snapshot length, on
+    /// a copy-parallel pass.
     pub shards: Vec<ShardReport>,
 }
 
